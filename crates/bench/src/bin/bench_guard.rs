@@ -19,8 +19,17 @@
 //! always-on instrumentation costs more than `--overhead-tolerance`
 //! percent (default 2%). Per-scenario jitter on a noisy box dwarfs a
 //! sub-2% effect, which is exactly why this check aggregates: the
-//! geomean over 16 scenarios averages the noise away while a systematic
-//! slowdown moves every ratio in the same direction.
+//! geomean over every committed scenario averages the noise away while a
+//! systematic slowdown moves every ratio in the same direction.
+//!
+//! ## Stale rows
+//!
+//! An unfiltered run also lists every key of `BENCH_kernel.json` and
+//! `BENCH_overhead.json` that no scenario of the suite produces
+//! ([`bench::scenarios::stale_rows`]) and exits nonzero if there is one,
+//! so a renamed or removed scenario cannot silently drop out of the
+//! gate. A scenario missing from the files (new since the last
+//! regeneration) is only noted and skipped.
 //!
 //! ## Serving-latency guard
 //!
@@ -52,7 +61,7 @@
 
 use std::sync::Arc;
 
-use bench::scenarios::{kernel_suite, standard_platform};
+use bench::scenarios::{kernel_suite, stale_rows, standard_platform};
 use bench::serving;
 
 const OVERHEAD_PATH: &str = "BENCH_overhead.json";
@@ -111,6 +120,24 @@ fn main() {
         .ok()
         .and_then(|text| jsonlite::Value::parse(&text).ok());
 
+    let suite = kernel_suite();
+    // Stale rows only make sense against the whole suite, so a
+    // `--scenario` filter skips the check.
+    let mut stale = 0usize;
+    if filters.is_empty() {
+        let files = [
+            (committed_path.as_str(), Some(&committed)),
+            (OVERHEAD_PATH, overhead_baseline.as_ref()),
+        ];
+        for (path, file) in files {
+            let Some(file) = file else { continue };
+            for key in stale_rows(file, &suite) {
+                println!("stale row: {key} in {path} (no scenario produces it)");
+                stale += 1;
+            }
+        }
+    }
+
     let platform = standard_platform();
     let mut regressions = 0usize;
     let mut missing = 0usize;
@@ -124,7 +151,7 @@ fn main() {
             .and_then(|v| v.as_f64().or_else(|| v.get("median_ns").and_then(|m| m.as_f64())))
     };
     println!("{:<27} {:>12} {:>12} {:>8}", "scenario", "committed", "fresh", "delta");
-    for scenario in kernel_suite() {
+    for scenario in &suite {
         let matched = filters.iter().any(|f| scenario.name.contains(f.as_str()));
         if !filters.is_empty() && !matched {
             continue;
@@ -266,6 +293,12 @@ fn main() {
         }
     }
 
+    if stale > 0 {
+        eprintln!(
+            "bench_guard: {stale} committed row(s) match no scenario — rename them to the \
+             scenario that replaced them, or delete them"
+        );
+    }
     if regressions > 0 {
         eprintln!(
             "bench_guard: {regressions} scenario(s) regressed more than {tolerance}% — \
@@ -273,7 +306,7 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if overhead_failed || serving_failed {
+    if stale > 0 || overhead_failed || serving_failed {
         std::process::exit(1);
     }
     println!("bench_guard: all scenarios within {tolerance}% of {committed_path}");

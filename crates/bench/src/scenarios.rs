@@ -7,11 +7,8 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use exec::WorkerPool;
 use g5k::{synth, to_simflow, Flavor};
-use simflow::{
-    DeadRoutePolicy, KernelStats, NetworkConfig, Platform, SimTime, SimTuning, Simulation,
-};
+use simflow::{DeadRoutePolicy, KernelStats, NetworkConfig, Platform, SimTime, Simulation};
 
 /// Median wall-clock nanoseconds of `f` over `samples` runs (one warmup).
 pub fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
@@ -51,13 +48,10 @@ fn concurrent(platform: &Platform, n: usize) -> KernelStats {
 /// every pair is its own sharing component (hosts have private NIC links;
 /// pairs only merge where a cluster switch group spans them). Pairs inside
 /// one cluster are symmetric, so their completions coincide and every
-/// completion event reshares many components at once — the shape the
-/// solver's pool fan-out targets. `workers == 0` runs without a pool.
-fn multicomp_pairs(platform: &Platform, n: usize, pool: Option<&Arc<WorkerPool>>) -> KernelStats {
+/// completion event reshares many components at once.
+fn multicomp_pairs(platform: &Platform, n: usize) -> KernelStats {
     let hosts: Vec<_> = platform.hosts().collect();
-    let tuning = SimTuning { pool: pool.cloned(), warm_start: true };
-    let capacities = Simulation::shared_capacities(platform, &NetworkConfig::default());
-    let mut sim = Simulation::with_tuning(platform, NetworkConfig::default(), capacities, tuning);
+    let mut sim = Simulation::new(platform, NetworkConfig::default());
     let n_pairs = hosts.len() / 2;
     for k in 0..n {
         let p = k % n_pairs;
@@ -315,21 +309,13 @@ pub fn kernel_suite() -> Vec<KernelScenario> {
         platform: None,
         run: Box::new(|p| churn(p, 500)),
     });
-    // Multi-component variants: same workload, varying solver pool width
-    // (0 = no pool). Output is bit-identical across widths; only the
-    // wall-clock should move.
-    for workers in [0usize, 1, 2, 4, 8] {
-        // One pool per width, shared across samples (thread spawn cost
-        // must not pollute the per-run timing).
-        let pool = (workers > 0).then(|| Arc::new(WorkerPool::new(workers)));
-        suite.push(KernelScenario {
-            name: format!("kernel_multicomp_600/w{workers}"),
-            samples: 7,
-            heavy: false,
-            platform: None,
-            run: Box::new(move |p| multicomp_pairs(p, 600, pool.as_ref())),
-        });
-    }
+    suite.push(KernelScenario {
+        name: "kernel_multicomp_600".to_string(),
+        samples: 7,
+        heavy: false,
+        platform: None,
+        run: Box::new(|p| multicomp_pairs(p, 600)),
+    });
     suite.push(KernelScenario {
         name: "kernel_mixed_100t_100c".to_string(),
         samples: 9,
@@ -361,4 +347,45 @@ pub fn kernel_suite() -> Vec<KernelScenario> {
         run: Box::new(|p| g5k_scale(p, 50_000)),
     });
     suite
+}
+
+/// Keys of a committed trajectory file (`BENCH_kernel.json` or
+/// `BENCH_overhead.json`) that no scenario of `suite` produces, in file
+/// order. A renamed or removed scenario leaves such a row behind, and a
+/// gate that only looks up the suite's own names would never read it.
+pub fn stale_rows(committed: &jsonlite::Value, suite: &[KernelScenario]) -> Vec<String> {
+    let jsonlite::Value::Object(rows) = committed else {
+        return Vec::new();
+    };
+    rows.iter()
+        .map(|(key, _)| key)
+        .filter(|key| !suite.iter().any(|s| &s.name == *key))
+        .cloned()
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stale_rows_lists_orphan_keys_only() {
+        let suite = kernel_suite();
+        let json = jsonlite::Value::parse(
+            r#"{"kernel_churn_500": 1, "kernel_multicomp_600/w4": 2, "kernel_dense_400": 3}"#,
+        )
+        .unwrap();
+        assert_eq!(stale_rows(&json, &suite), vec!["kernel_multicomp_600/w4".to_string()]);
+    }
+
+    #[test]
+    fn committed_trajectory_files_have_no_stale_rows() {
+        let suite = kernel_suite();
+        for file in ["BENCH_kernel.json", "BENCH_overhead.json"] {
+            let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap();
+            let json = jsonlite::Value::parse(&text).unwrap();
+            assert_eq!(stale_rows(&json, &suite), Vec::<String>::new(), "{file}");
+        }
+    }
 }

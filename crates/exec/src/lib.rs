@@ -1,10 +1,10 @@
 //! # exec — the workspace's shared execution layer
 //!
-//! The bottom-most concurrency crate: everything above it (`simflow`'s
-//! parallel component solves, `forecast`'s simulation fan-out, and
-//! transitively `pilgrim-core`'s serving path) funnels CPU-bound work
-//! through the one [`WorkerPool`] defined here, so a process never
-//! oversubscribes its cores no matter how many layers fan out at once.
+//! The bottom-most concurrency crate: `forecast`'s simulation fan-out
+//! (batch shards and select waves) and `pilgrim-core`'s HTTP workers run
+//! their jobs on the [`WorkerPool`] defined here. The simulation kernel
+//! itself is sequential: a simulation runs on whichever worker picked up
+//! its job.
 //!
 //! ## Determinism contract
 //!
@@ -13,10 +13,9 @@
 //! the caller merges in a caller-chosen order ([`WorkerPool::map`]
 //! returns results in input order; scoped jobs write to disjoint
 //! borrows). Any algorithm whose jobs are pure functions of their inputs
-//! therefore produces bit-identical results at every pool size, including
-//! zero (no pool attached, caller runs the same job code inline). Both
-//! `MaxMinSolver::reshare` and the forecast engine rely on this contract
-//! and pin it with property tests across worker counts.
+//! therefore produces bit-identical results at every pool size. The
+//! forecast engine relies on this contract and pins it against its
+//! sequential reference in `engine_integration.rs`.
 //!
 //! ## Panic propagation
 //!
@@ -33,10 +32,8 @@
 //! A thread blocked in [`WorkerPool::scope`] does not idle: it drains
 //! jobs from the pool's queue while waiting for its own jobs to finish.
 //! This makes nested scopes deadlock-free even on a single-worker pool —
-//! a scoped job may open its own scope (e.g. a forecast batch job whose
-//! simulation's solver fans components out through the same pool), and
-//! the waiting thread simply executes the nested jobs itself if no
-//! worker is free.
+//! a scoped job may open its own scope on the same pool, and the waiting
+//! thread simply executes the nested jobs itself if no worker is free.
 //!
 //! ## Observability
 //!

@@ -16,10 +16,9 @@
 //! to a slice in parallel, results in input order.
 //!
 //! The API is deliberately engine-agnostic: the forecast engine fans
-//! simulation batches out through it, and `simflow`'s `MaxMinSolver`
-//! solves its disjoint sharing components through the same pool. See the
-//! crate docs for the determinism contract, panic propagation and
-//! help-while-wait semantics.
+//! simulation batches out through it, and the HTTP front end runs its
+//! request handlers on it. See the crate docs for the determinism
+//! contract, panic propagation and help-while-wait semantics.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -194,10 +194,9 @@ impl Flight {
 /// The concurrent forecast engine: platforms, sessions, pool and cache.
 pub struct ForecastEngine {
     config: NetworkConfig,
-    /// Shared with every warm session (and through them with every
-    /// simulation's solver), so batch-level and component-level fan-out
-    /// draw from one set of threads.
-    pool: Arc<WorkerPool>,
+    /// Runs batch shards and select waves; each simulation itself runs
+    /// sequentially on the worker that picked it up.
+    pool: WorkerPool,
     sessions: RwLock<HashMap<String, Arc<Session>>>,
     cache: ForecastCache,
     /// Background-traffic epoch; bumped on metrology ingestion.
@@ -228,7 +227,7 @@ impl ForecastEngine {
         };
         ForecastEngine {
             config,
-            pool: Arc::new(pool),
+            pool,
             sessions: RwLock::new(HashMap::new()),
             cache: ForecastCache::with_retention(engine.cache_capacity, engine.stale_retention),
             epoch: AtomicU64::new(0),
@@ -265,15 +264,9 @@ impl ForecastEngine {
         self.pool.size()
     }
 
-    /// The shared worker pool (other subsystems may fan out through it).
+    /// The engine's worker pool (other subsystems may fan out through it).
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
-    }
-
-    /// A shareable handle to the pool, e.g. for attaching to simulations
-    /// built outside the engine ([`simflow::Simulation::attach_pool`]).
-    pub fn shared_pool(&self) -> Arc<WorkerPool> {
-        Arc::clone(&self.pool)
     }
 
     /// Registers a platform under `name`, warming a session for it.
@@ -283,12 +276,8 @@ impl ForecastEngine {
 
     /// Registers an already-shared platform under `name`.
     pub fn register_platform_shared(&self, name: &str, platform: Arc<Platform>) {
-        let session = Arc::new(Session::with_instruments(
-            platform,
-            self.config,
-            Some(Arc::clone(&self.pool)),
-            self.metrics.kernel.clone(),
-        ));
+        let kernel = self.metrics.kernel.clone();
+        let session = Arc::new(Session::with_instruments(platform, self.config, kernel));
         self.sessions.write().insert(name.to_string(), session);
     }
 

@@ -15,10 +15,10 @@
 //! `available_parallelism`; simulation is CPU-bound, so more threads than
 //! cores only add scheduling noise. A waiting scope *helps* by draining
 //! the queue, so nested scopes cannot deadlock. The pool lives in the
-//! bottom-layer `exec` crate and is shared downward: the engine hands its
-//! one pool to every simulation it builds, so `MaxMinSolver`'s
-//! independent-component solves fan out through the same threads instead
-//! of oversubscribing the machine.
+//! bottom-layer `exec` crate. The engine fans batch shards and select
+//! waves out through it; each simulation then runs sequentially on the
+//! worker that picked it up, so the pool width bounds the threads a
+//! forecast uses.
 //!
 //! ## Warm sessions ([`session`])
 //!
@@ -70,10 +70,9 @@ pub mod faults;
 pub mod metrics;
 pub mod session;
 
-/// The worker pool now lives in the bottom-layer [`exec`] crate so that
-/// `simflow`'s solver can fan out through the same primitive without a
-/// dependency cycle; this alias keeps the historical `forecast::pool`
-/// paths working.
+/// The worker pool lives in the bottom-layer [`exec`] crate, shared with
+/// the HTTP front end in `pilgrim-core`; this alias keeps the historical
+/// `forecast::pool` paths working.
 pub use exec::pool;
 
 pub use cache::{CacheKey, CachedResult, ForecastCache};

@@ -32,11 +32,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use exec::WorkerPool;
 use parking_lot::RwLock;
 use simflow::{
     Connectivity, DeadRoutePolicy, HostId, LinkId, NetworkConfig, Platform, PlatformEventKind,
-    ResolvedPath, SimTuning, Simulation,
+    ResolvedPath, Simulation,
 };
 
 use crate::metrics::KernelCounters;
@@ -99,10 +98,6 @@ pub struct Session {
     /// a result it computed under one overlay is being cached under
     /// another (see `ForecastCache::insert_if`).
     overlay_version: AtomicU64,
-    /// Pool shared with every simulation this session builds, so the
-    /// solver's component fan-out runs on the engine's threads instead
-    /// of oversubscribing the machine.
-    pool: Option<Arc<WorkerPool>>,
     /// Shared kernel counters the session folds each finished run's
     /// [`simflow::KernelStats`] into — after `run()` returns, never
     /// inside the solve (the kernel counts plain integers and the
@@ -116,27 +111,16 @@ pub struct Session {
 impl Session {
     /// Warms up a session for `platform`.
     pub fn new(platform: Arc<Platform>, config: NetworkConfig) -> Session {
-        Session::with_pool(platform, config, None)
+        Session::with_instruments(platform, config, KernelCounters::default())
     }
 
-    /// Warms up a session whose simulations share `pool` with the
-    /// max-min solver (see [`simflow::SimTuning`]).
-    pub fn with_pool(
-        platform: Arc<Platform>,
-        config: NetworkConfig,
-        pool: Option<Arc<WorkerPool>>,
-    ) -> Session {
-        Session::with_instruments(platform, config, pool, KernelCounters::default())
-    }
-
-    /// [`Session::with_pool`] with caller-shared kernel counters: the
+    /// [`Session::new`] with caller-shared kernel counters: the
     /// engine hands every session clones of one process-wide
     /// [`KernelCounters`], so all platforms aggregate into the same
     /// `kernel_*` metric family.
     pub fn with_instruments(
         platform: Arc<Platform>,
         config: NetworkConfig,
-        pool: Option<Arc<WorkerPool>>,
         kernel: KernelCounters,
     ) -> Session {
         let capacities = Simulation::shared_capacities(&platform, &config);
@@ -152,7 +136,6 @@ impl Session {
             })),
             overlay: RwLock::new(BTreeMap::new()),
             overlay_version: AtomicU64::new(0),
-            pool,
             kernel,
             memo_hits_seen: AtomicU64::new(0),
         }
@@ -331,23 +314,17 @@ impl Session {
         Ok(ResolvedSpec { src, dst, size: spec.size, path })
     }
 
-    /// A fresh simulation using the prewarmed capacity vector (and the
-    /// session's shared pool, when it has one), with the link-state
-    /// overlay applied: degraded factors scale the capacity vector, down
-    /// resources are marked dead under [`DeadRoutePolicy::Fail`] — a
-    /// transfer routed over a dead link completes as failed rather than
-    /// stalling the simulation.
+    /// A fresh simulation using the prewarmed capacity vector, with the
+    /// link-state overlay applied: degraded factors scale the capacity
+    /// vector, down resources are marked dead under
+    /// [`DeadRoutePolicy::Fail`] — a transfer routed over a dead link
+    /// completes as failed rather than stalling the simulation.
     pub fn simulation(&self) -> Simulation<'_> {
-        let tuning = SimTuning { pool: self.pool.clone(), warm_start: true };
         let overlay = self.overlay.read();
         if overlay.is_empty() {
             drop(overlay);
-            return Simulation::with_tuning(
-                &self.platform,
-                self.config,
-                self.capacities.clone(),
-                tuning,
-            );
+            let caps = self.capacities.clone();
+            return Simulation::with_capacities(&self.platform, self.config, caps);
         }
         let mut caps = self.capacities.clone();
         let mut downs = Vec::new();
@@ -358,7 +335,7 @@ impl Session {
             }
         }
         drop(overlay);
-        let mut sim = Simulation::with_tuning(&self.platform, self.config, caps, tuning);
+        let mut sim = Simulation::with_capacities(&self.platform, self.config, caps);
         sim.set_dead_route_policy(DeadRoutePolicy::Fail);
         for r in downs {
             sim.mark_resource_down(r);

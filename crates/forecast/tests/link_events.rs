@@ -8,7 +8,7 @@ use forecast::{EngineConfig, ForecastEngine, ForecastError, TransferSpec};
 use simflow::platform::builder::PlatformBuilder;
 use simflow::platform::routing::{Element, RoutingKind};
 use simflow::platform::SharingPolicy;
-use simflow::{NetworkConfig, Platform, PlatformEventKind, SimTime, SimTuning, Simulation};
+use simflow::{NetworkConfig, Platform, PlatformEventKind, SimTime, Simulation};
 
 /// Two 8-host clusters behind per-host access links and one shared
 /// backbone (same topology as the engine integration tests).
@@ -74,7 +74,7 @@ fn reference(events: &[(&str, f64)], specs: &[TransferSpec]) -> Vec<f64> {
     for (link, factor) in events {
         caps[p.link_by_name(link).unwrap().index()] *= factor;
     }
-    let mut sim = Simulation::with_tuning(&p, cfg, caps, SimTuning { pool: None, warm_start: true });
+    let mut sim = Simulation::with_capacities(&p, cfg, caps);
     let ids: Vec<_> = specs
         .iter()
         .map(|s| {

@@ -20,7 +20,10 @@ pub struct NodeModel {
     /// Measured application/launcher startup overhead in seconds — the
     /// floor under small-transfer measurements. Calibrated per cluster
     /// generation: ≈ 0.9 s on 2004-era Opterons (sagittaire, capricorne),
-    /// negligible on 2010-era Xeons (graphene, griffon). See EXPERIMENTS.md.
+    /// negligible on 2010-era Xeons (graphene, griffon).
+    /// `experiments --figure fig3` shows the sagittaire floor (about 0.9 s
+    /// measured at 100 kB); `experiments --figure fig6` shows graphene
+    /// without it.
     pub startup_overhead_s: f64,
 }
 

@@ -13,36 +13,6 @@
 //! with a weighted max-min allocation whose weights grow with round-trip
 //! time (see [`crate::model`]), reproducing TCP's RTT unfairness.
 
-/// Execution tuning of a simulation, orthogonal to the network model:
-/// which worker pool (if any) the solver fans disjoint sharing
-/// components out on, and whether warm-start filling is enabled. Neither
-/// knob changes results — solver output is bit-identical at every pool
-/// size with warm start on or off — so tuning is safe to vary per
-/// deployment. The forecast engine passes its own pool down here so that
-/// simulation-level and solver-level fan-out share one set of threads.
-#[derive(Clone, Debug)]
-pub struct SimTuning {
-    /// Worker pool for parallel component solves (`None` = solve
-    /// components sequentially on the calling thread).
-    pub pool: Option<std::sync::Arc<exec::WorkerPool>>,
-    /// Cache per-component freeze orders and resume filling from the
-    /// first seed-invalidated level (on by default).
-    pub warm_start: bool,
-}
-
-impl Default for SimTuning {
-    fn default() -> Self {
-        SimTuning { pool: None, warm_start: true }
-    }
-}
-
-impl SimTuning {
-    /// Tuning that shares `pool` with the solver.
-    pub fn with_pool(pool: std::sync::Arc<exec::WorkerPool>) -> Self {
-        SimTuning { pool: Some(pool), warm_start: true }
-    }
-}
-
 /// Parameters of the flow-level TCP model.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetworkConfig {

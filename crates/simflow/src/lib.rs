@@ -54,7 +54,7 @@ pub mod platform;
 pub mod trace;
 pub mod units;
 
-pub use config::{NetworkConfig, SimTuning};
+pub use config::NetworkConfig;
 pub use connect::Connectivity;
 pub use kernel::{
     Completion, CompletionOutcome, DeadRoutePolicy, KernelStats, PlatformEventKind, Report,

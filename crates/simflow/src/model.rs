@@ -18,10 +18,9 @@
 //! Two implementations live here: [`SharingProblem::solve`], the one-shot
 //! reference kept deliberately simple, and [`MaxMinSolver`], the
 //! persistent incremental solver the kernel drives — with per-component
-//! resharing, optional pool-parallel component solves, and warm-start
-//! filling, all pinned bit-identical to the reference (see the
-//! `MaxMinSolver` docs for the argument and `maxmin_properties.rs` for
-//! the enforcement).
+//! resharing and warm-start filling, both pinned bit-identical to the
+//! reference (see the `MaxMinSolver` docs for the argument and
+//! `maxmin_properties.rs` for the enforcement).
 //!
 //! ## Large-N layout notes
 //!
@@ -41,10 +40,10 @@
 //! * **recycled record slots** — the warm-cache slab reuses freed
 //!   entries (buffers intact), so steady-state re-solving allocates
 //!   nothing and the slab never exceeds the peak live record count.
-//! * **`changed`-list merging** — parallel component jobs buffer
-//!   `(flow, rate)` pairs and merge in component discovery order, then
-//!   one `sort_unstable` restores ascending ids; the merge is linear in
-//!   flows actually changed, not in flows registered.
+//! * **one `changed` list** — component solves append the ids of flows
+//!   whose rate moved straight into the solver's list, in component
+//!   discovery order, and one `sort_unstable` restores ascending ids; the
+//!   work is linear in flows actually changed, not in flows registered.
 
 use crate::connect::Connectivity;
 
@@ -235,10 +234,6 @@ const REL_EPS: f64 = 1e-12;
 /// kernel benches).
 const HEAP_THRESHOLD: usize = 1536;
 
-/// Default minimum component size (flows) for pool dispatch; see
-/// [`MaxMinSolver::set_parallel_threshold`].
-const DEFAULT_PAR_THRESHOLD: usize = 32;
-
 /// Default minimum component size (flows) for warm-start recording and
 /// replay; see [`MaxMinSolver::set_warm_threshold`]. Below this, a cold
 /// fill's few hundred nanoseconds undercut the replay's validation work
@@ -264,13 +259,13 @@ struct SolverFlow {
     active: bool,
 }
 
-/// The solver state every component job reads and none writes: the
+/// The solver state a component solve reads and never writes: the
 /// registered problem (capacities, flows, routes, delta-maintained base
-/// sums, last solved rates) plus the epoch-stamped marks the reshare
-/// prologue writes *before* any job is dispatched. Splitting this off
-/// from [`MaxMinSolver`] is what lets disjoint components solve in
-/// parallel — jobs share one `&SolverCore` and keep all mutable state in
-/// their own [`SolveScratch`].
+/// sums) plus the epoch-stamped marks the reshare prologue writes
+/// *before* any component is solved. Splitting this off from
+/// [`MaxMinSolver`] is a borrow split: [`run_component`] reads the core
+/// (and a warm record borrowed from the cache) while it mutates the
+/// [`SolveScratch`] and the solver's rate table.
 #[derive(Clone, Debug, Default)]
 struct SolverCore {
     capacity: Vec<f64>,
@@ -334,9 +329,8 @@ impl SolverCore {
 pub const COMP_SIZE_BUCKETS: usize = 17;
 
 /// Warm-start replay outcomes, counted per recorded level. Pure event
-/// counts — the solver never reads wall-clock — accumulated in per-job
-/// scratches and merged after the jobs return, so the bit-identical
-/// parallel solve paths stay untouched.
+/// counts — the solver never reads wall-clock — accumulated in the solve
+/// scratch and folded into [`SolverStats`] at the end of each reshare.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WarmReplayStats {
     /// Cached levels replayed verbatim (the fill work warm start saved).
@@ -377,8 +371,7 @@ impl WarmReplayStats {
 
 /// Lifetime event counts of one [`MaxMinSolver`] (observability; the
 /// kernel folds them into [`crate::KernelStats`] at the end of a run).
-/// Plain integers on the sequential path, per-job deltas on the
-/// parallel path — never atomics or clocks inside the solve.
+/// Plain integers — never atomics or clocks inside the solve.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Components dispatched across all reshares (including trivial
@@ -401,9 +394,8 @@ impl SolverStats {
 
 /// One component solve's mutable state. Every array is either cleared per
 /// run or guarded by a stamp (`stamp` for flow freezes, `round_stamp` for
-/// per-round resource dedup), so a scratch can be reused across solves —
-/// and handed from worker to worker — without clearing and without any
-/// history leaking into results.
+/// per-round resource dedup), so one scratch is reused across solves
+/// without clearing and without any history leaking into results.
 #[derive(Clone, Debug, Default)]
 struct SolveScratch {
     /// Bumped per component solve; `frozen_stamp[f] == stamp` means flow
@@ -441,9 +433,6 @@ struct SolveScratch {
     cand: Vec<std::cmp::Reverse<Candidate>>,
     heap: std::collections::BinaryHeap<std::cmp::Reverse<Candidate>>,
     // -- per-solve outputs --
-    /// Flows whose rate moved, with their new rate (ascending by id once
-    /// the run finishes).
-    changed: Vec<(u32, f64)>,
     /// Recorded freeze order: one `φ` per round...
     rec_phis: Vec<f64>,
     /// ...with `rec_frozen[rec_offsets[k]..rec_offsets[k+1]]` the flows
@@ -558,19 +547,6 @@ impl WarmCache {
         self.insert(comp_res, c);
     }
 
-    /// Like [`WarmCache::store_from_scratch`] but takes an owned record
-    /// (parallel path, where the record crossed a thread boundary).
-    fn store_owned(&mut self, comp_res: &[u32], rec: Option<CachedSolve>) {
-        self.detach(comp_res);
-        if let Some(mut c) = rec {
-            if comp_res.is_empty() {
-                return;
-            }
-            c.refs = comp_res.len() as u32;
-            self.insert(comp_res, c);
-        }
-    }
-
     /// Unlinks the component's resources from their previous solves,
     /// returning a freed record (buffers intact) for recycling if the
     /// last reference died.
@@ -637,37 +613,12 @@ impl WarmCache {
     }
 }
 
-/// One parallel component job: id, flow/resource slices, optional cached
-/// freeze order, and whether to record a fresh one.
-type CompJob<'a> = (u32, &'a [u32], &'a [u32], Option<&'a CachedSolve>, bool);
-
 /// Flow/resource ranges of one component within the flat discovery
 /// arrays.
 #[derive(Clone, Copy, Debug)]
 struct CompSpan {
     flows: (u32, u32),
     res: (u32, u32),
-}
-
-/// Owned result of one component solved on a pool worker (the
-/// sequential path harvests straight out of the scratch). A job returns
-/// one `CompOut` per component it covered — single-component jobs for
-/// big components, chunk jobs packing several small ones.
-struct CompOut {
-    comp: u32,
-    changed: Vec<(u32, f64)>,
-    rec: Option<CachedSolve>,
-}
-
-/// Where a component solve delivers its rates. The sequential path
-/// writes them straight into the solver's rate table (no intermediate
-/// buffer, like the pre-refactor solver); parallel jobs only *read* the
-/// shared table for change detection and buffer `(flow, rate)` pairs the
-/// main thread applies in component order — same values, same `changed`
-/// set either way.
-enum RateSink<'a> {
-    Direct { rates: &'a mut Vec<f64>, changed: &'a mut Vec<u32> },
-    Buffered { rates: &'a [f64] },
 }
 
 /// A persistent, incremental weighted max-min solver.
@@ -694,34 +645,24 @@ enum RateSink<'a> {
 /// with no per-event graph traversal; the completion-heavy hot path
 /// never re-discovers anything.
 ///
-/// Two accelerations sit on top of the incremental core, both pinned to
-/// produce bit-identical rates and `changed` lists:
+/// The affected components solve one after another in discovery order,
+/// all through one reused `SolveScratch`. Max-min sharing couples
+/// flows only through shared resources, so each component is an
+/// independent sub-problem.
 ///
-/// * **Parallel component solves.** The affected components solve as
-///   independent jobs, fanned out over an optionally
-///   [attached](MaxMinSolver::set_pool) [`exec::WorkerPool`]: big
-///   components one per job, small ones packed into chunk jobs of
-///   roughly [`MaxMinSolver::set_parallel_threshold`] flows (so a
-///   completion wave touching many small components still fans out).
-///   Max-min sharing couples flows only through shared resources, so
-///   disjoint components are independent sub-problems; jobs read the
-///   shared [`SolverCore`], keep all mutable state in per-job scratches,
-///   and their `changed` lists merge by ascending flow id — the output
-///   is bit-identical to the sequential in-order loop at every pool size
-///   (including none).
-///
-/// * **Warm-start filling.** Each component solve records its freeze
-///   order (`φ` levels, per-round freeze lists, and the resources that
-///   bound each round). A later reshare of the same component replays
-///   that order, validating each level against the seeds (a dirty
-///   resource binding at or below the level's threshold, a seed frozen
-///   in the level, or a recorded binding resource gone dirty all
-///   invalidate it — level-wide checks on a handful of resources, no
-///   per-flow ratio math), and resumes normal progressive filling
-///   from the first invalidated level. Replaying applies the identical
-///   float operations the cold solve would, so rates stay bitwise equal
-///   to a cold reshare — the property tests in `maxmin_properties.rs`
-///   enforce this across worker counts with warm start on and off.
+/// **Warm-start filling** sits on top of the incremental core, pinned to
+/// produce bit-identical rates and `changed` lists. Each component solve
+/// records its freeze order (`φ` levels, per-round freeze lists, and the
+/// resources that bound each round). A later reshare of the same
+/// component replays that order, validating each level against the seeds
+/// (a dirty resource binding at or below the level's threshold, a seed
+/// frozen in the level, or a recorded binding resource gone dirty all
+/// invalidate it — level-wide checks on a handful of resources, no
+/// per-flow ratio math), and resumes normal progressive filling from the
+/// first invalidated level. Replaying applies the identical float
+/// operations the cold solve would, so rates stay bitwise equal to a
+/// cold reshare — the property tests in `maxmin_properties.rs` enforce
+/// this with warm start on and off.
 ///
 /// Within a component the algorithm is the same progressive filling as
 /// the reference [`SharingProblem::solve`], executed in ascending flow
@@ -737,11 +678,7 @@ pub struct MaxMinSolver {
     core: SolverCore,
     /// Last solved rate per flow (0.0 until first solved).
     rates: Vec<f64>,
-    pool: Option<std::sync::Arc<exec::WorkerPool>>,
     warm_start: bool,
-    /// Minimum flows for a component to count as pool-worthy; see
-    /// [`MaxMinSolver::set_parallel_threshold`].
-    par_threshold: usize,
     /// Minimum flows for warm-start recording/replay; see
     /// [`MaxMinSolver::set_warm_threshold`].
     warm_threshold: usize,
@@ -766,15 +703,8 @@ pub struct MaxMinSolver {
     comp_flows: Vec<u32>,
     comp_res: Vec<u32>,
     comps: Vec<CompSpan>,
-    /// Pool job packing: non-trivial component indices in discovery
-    /// order, and the job ranges into them (big components alone, small
-    /// ones chunk-packed).
-    job_comps: Vec<u32>,
-    job_bounds: Vec<(u32, u32)>,
     changed: Vec<u32>,
-    scratch_main: SolveScratch,
-    /// Scratches for pool workers; grabbed and returned per job.
-    scratch_pool: std::sync::Mutex<Vec<SolveScratch>>,
+    scratch: SolveScratch,
     /// Lifetime event counts (components, sizes, warm-replay outcomes).
     stats: SolverStats,
 }
@@ -784,9 +714,7 @@ impl Clone for MaxMinSolver {
         MaxMinSolver {
             core: self.core.clone(),
             rates: self.rates.clone(),
-            pool: self.pool.clone(),
             warm_start: self.warm_start,
-            par_threshold: self.par_threshold,
             warm_threshold: self.warm_threshold,
             warm_flow_cap: self.warm_flow_cap,
             warm: self.warm.clone(),
@@ -797,11 +725,8 @@ impl Clone for MaxMinSolver {
             comp_flows: Vec::new(),
             comp_res: Vec::new(),
             comps: Vec::new(),
-            job_comps: Vec::new(),
-            job_bounds: Vec::new(),
             changed: self.changed.clone(),
-            scratch_main: SolveScratch::default(),
-            scratch_pool: std::sync::Mutex::new(Vec::new()),
+            scratch: SolveScratch::default(),
             stats: self.stats.clone(),
         }
     }
@@ -830,9 +755,7 @@ impl MaxMinSolver {
                 res_mark: vec![0; nr],
                 res_dirty: vec![0; nr],
             },
-            pool: None,
             warm_start: true,
-            par_threshold: DEFAULT_PAR_THRESHOLD,
             warm_threshold: DEFAULT_WARM_THRESHOLD,
             warm_flow_cap: DEFAULT_WARM_FLOW_CAP,
             warm: WarmCache {
@@ -848,33 +771,10 @@ impl MaxMinSolver {
             comp_flows: Vec::new(),
             comp_res: Vec::new(),
             comps: Vec::new(),
-            job_comps: Vec::new(),
-            job_bounds: Vec::new(),
             changed: Vec::new(),
-            scratch_main: SolveScratch::default(),
-            scratch_pool: std::sync::Mutex::new(Vec::new()),
+            scratch: SolveScratch::default(),
             stats: SolverStats::default(),
         }
-    }
-
-    /// Attaches (or detaches) a worker pool for component fan-out. With a
-    /// pool, a reshare touching several disjoint components solves them
-    /// concurrently; results are bit-identical either way, so this is a
-    /// pure throughput knob. Share one pool process-wide (the forecast
-    /// engine hands its own pool down here) to avoid oversubscription.
-    pub fn set_pool(&mut self, pool: Option<std::sync::Arc<exec::WorkerPool>>) {
-        self.pool = pool;
-    }
-
-    /// Minimum flows for a component to be pool-dispatched as a job of
-    /// its own; smaller components are packed into chunk jobs of roughly
-    /// this many flows (trivial ≤1-flow components stay inline behind
-    /// their fused fast path). A reshare fans out only when at least two
-    /// jobs result, since shipping micro-work to workers costs more than
-    /// solving it inline. Results are bit-identical regardless; tests
-    /// drop this to 1 to force the parallel path onto small inputs.
-    pub fn set_parallel_threshold(&mut self, min_flows: usize) {
-        self.par_threshold = min_flows.max(1);
     }
 
     /// Minimum component size (flows) for warm-start recording and
@@ -1117,8 +1017,8 @@ impl MaxMinSolver {
         self.seed_buf.sort_unstable();
         self.seed_buf.dedup();
 
-        // Mark seeds and their (dirty) resources before discovery; jobs
-        // read these marks concurrently later. The marks only steer
+        // Mark seeds and their (dirty) resources before discovery; the
+        // component solves read these marks later. The marks only steer
         // warm-start replay validity, and a replay needs a cached solve
         // to replay — with nothing recorded the pass is skipped.
         if self.warm_start && self.warm.has_records() {
@@ -1200,202 +1100,51 @@ impl MaxMinSolver {
             return &self.changed;
         }
 
-        // Component-size accounting: sizes are known at dispatch time,
-        // so this is one O(#components) integer pass per reshare —
-        // never inside a solve, never a clock read.
-        for ci in 0..self.comps.len() {
-            let n = (self.comps[ci].flows.1 - self.comps[ci].flows.0) as usize;
-            self.stats.record_component_size(n);
-        }
-
+        // Solve each component in discovery order through the one reused
+        // scratch. Sizes feed the component-size histogram as they go —
+        // integer bumps, never a clock read.
         let record = self.warm_start;
-        // Partition the components into pool jobs: trivial (≤1 flow, no
-        // warm replay) components stay inline behind their fused fast
-        // path, components of at least `par_threshold` flows become jobs
-        // of their own, and the small rest is packed into chunk jobs of
-        // roughly `par_threshold` flows — so a completion wave touching
-        // many small components (the symmetric multi-cluster shape) can
-        // still fan out instead of disqualifying the pool. Dispatch pays
-        // only once at least two jobs carry real work.
-        self.job_comps.clear();
-        self.job_bounds.clear();
-        let mut big = 0usize;
-        if self.pool.is_some() && self.comps.len() > 1 {
-            let mut chunk_start = 0u32;
-            let mut chunk_flows = 0usize;
-            for ci in 0..self.comps.len() {
-                let n = (self.comps[ci].flows.1 - self.comps[ci].flows.0) as usize;
-                let use_warm = record && n >= self.warm_threshold && n <= self.warm_flow_cap;
-                if n <= 1 && !use_warm {
-                    continue;
-                }
-                if n >= self.par_threshold {
-                    big += 1;
-                    if chunk_flows > 0 {
-                        self.job_bounds.push((chunk_start, self.job_comps.len() as u32));
-                        chunk_flows = 0;
-                    }
-                    let at = self.job_comps.len() as u32;
-                    self.job_comps.push(ci as u32);
-                    self.job_bounds.push((at, at + 1));
-                    chunk_start = at + 1;
-                } else {
-                    self.job_comps.push(ci as u32);
-                    chunk_flows += n;
-                    if chunk_flows >= self.par_threshold {
-                        self.job_bounds.push((chunk_start, self.job_comps.len() as u32));
-                        chunk_start = self.job_comps.len() as u32;
-                        chunk_flows = 0;
-                    }
-                }
+        for ci in 0..self.comps.len() {
+            let span = self.comps[ci];
+            let n = (span.flows.1 - span.flows.0) as usize;
+            self.stats.record_component_size(n);
+            // Warm-start pays only on components big enough that skipped
+            // levels outweigh the replay validation; smaller ones solve
+            // cold and just drop their stale records.
+            let use_warm = record && n >= self.warm_threshold && n <= self.warm_flow_cap;
+            if !use_warm && n <= 1 {
+                self.solve_trivial(ci, record);
+                continue;
             }
-            if chunk_flows > 0 {
-                self.job_bounds.push((chunk_start, self.job_comps.len() as u32));
+            let flows = &self.comp_flows[span.flows.0 as usize..span.flows.1 as usize];
+            let res = &self.comp_res[span.res.0 as usize..span.res.1 as usize];
+            let warm = if use_warm { self.warm.lookup(res) } else { None };
+            run_component(
+                &self.core,
+                ci as u32,
+                flows,
+                res,
+                warm,
+                use_warm,
+                &mut self.rates,
+                &mut self.changed,
+                &mut self.scratch,
+            );
+            if use_warm {
+                self.warm.store_from_scratch(res, &self.scratch);
+            } else if record && self.warm.has_records() {
+                // Sub-threshold solve: drop any stale record covering
+                // these resources. With nothing recorded anywhere
+                // (`solves` empty ⇒ every `res_solve` entry is 0) the
+                // sweep is skipped outright — the common small-network
+                // case pays nothing for warm-start being enabled.
+                self.warm.detach(res);
             }
         }
-        // Fan out only when at least two *threshold-sized* components
-        // justify it — the chunk jobs then ride along, but a wave of
-        // micro-components alone solves inline (shipping it costs more
-        // than solving it).
-        let use_pool = big >= 2 && self.job_bounds.len() >= 2;
-        if !use_pool {
-            // Sequential path: one reused scratch, results harvested in
-            // component discovery order.
-            for ci in 0..self.comps.len() {
-                let span = self.comps[ci];
-                // Warm-start pays only on components big enough that
-                // skipped levels outweigh the replay validation; smaller
-                // ones solve cold and just drop their stale records.
-                let n = (span.flows.1 - span.flows.0) as usize;
-                let use_warm = record && n >= self.warm_threshold && n <= self.warm_flow_cap;
-                if !use_warm && n <= 1 {
-                    self.solve_trivial(ci, record);
-                    continue;
-                }
-                let flows =
-                    &self.comp_flows[span.flows.0 as usize..span.flows.1 as usize];
-                let res = &self.comp_res[span.res.0 as usize..span.res.1 as usize];
-                let warm = if use_warm { self.warm.lookup(res) } else { None };
-                let mut sink =
-                    RateSink::Direct { rates: &mut self.rates, changed: &mut self.changed };
-                run_component(
-                    &self.core,
-                    ci as u32,
-                    flows,
-                    res,
-                    warm,
-                    use_warm,
-                    &mut sink,
-                    &mut self.scratch_main,
-                );
-                if use_warm {
-                    self.warm.store_from_scratch(res, &self.scratch_main);
-                } else if record && self.warm.has_records() {
-                    // Sub-threshold solve: drop any stale record covering
-                    // these resources. With nothing recorded anywhere
-                    // (`solves` empty ⇒ every `res_solve` entry is 0) the
-                    // sweep is skipped outright — the common small-network
-                    // case pays nothing for warm-start being enabled.
-                    self.warm.detach(res);
-                }
-            }
-            let delta = std::mem::take(&mut self.scratch_main.stats);
-            self.stats.warm.merge(&delta);
-        } else {
-            // Parallel path: trivial components solve inline first (their
-            // fused fast path beats any dispatch), then the jobs fan out
-            // over the pool; results merge in the same discovery order —
-            // bit-identical to the sequential path at any worker count.
-            for ci in 0..self.comps.len() {
-                let n = (self.comps[ci].flows.1 - self.comps[ci].flows.0) as usize;
-                if n <= 1 && !(record && n >= self.warm_threshold && n <= self.warm_flow_cap) {
-                    self.solve_trivial(ci, record);
-                }
-            }
-            let pool = self.pool.clone().expect("checked above");
-            let core = &self.core;
-            let rates = &self.rates;
-            let scratch_pool = &self.scratch_pool;
-            let jobs: Vec<CompJob<'_>> = self
-                .job_comps
-                .iter()
-                .map(|&ci| {
-                    let span = self.comps[ci as usize];
-                    let flows =
-                        &self.comp_flows[span.flows.0 as usize..span.flows.1 as usize];
-                    let res = &self.comp_res[span.res.0 as usize..span.res.1 as usize];
-                    let use_warm = record
-                        && flows.len() >= self.warm_threshold
-                        && flows.len() <= self.warm_flow_cap;
-                    let warm = if use_warm { self.warm.lookup(res) } else { None };
-                    (ci, flows, res, warm, use_warm)
-                })
-                .collect();
-            let outs: Vec<(Vec<CompOut>, WarmReplayStats)> =
-                pool.map(&self.job_bounds, |_, &(lo, hi)| {
-                    let mut scratch = scratch_pool
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .pop()
-                        .unwrap_or_default();
-                    let mut job_out = Vec::with_capacity((hi - lo) as usize);
-                    for &(comp_id, flows, res, warm, use_warm) in
-                        &jobs[lo as usize..hi as usize]
-                    {
-                        let mut sink = RateSink::Buffered { rates };
-                        run_component(
-                            core, comp_id, flows, res, warm, use_warm, &mut sink,
-                            &mut scratch,
-                        );
-                        // Take, don't clone: the buffers cross the thread
-                        // boundary as-is (store_owned keeps the rec ones
-                        // alive in the cache) and the scratch regrows
-                        // lazily.
-                        job_out.push(CompOut {
-                            comp: comp_id,
-                            changed: std::mem::take(&mut scratch.changed),
-                            rec: use_warm.then(|| CachedSolve {
-                                refs: 0,
-                                phis: std::mem::take(&mut scratch.rec_phis),
-                                offsets: std::mem::take(&mut scratch.rec_offsets),
-                                frozen: std::mem::take(&mut scratch.rec_frozen),
-                                bind_offsets: std::mem::take(&mut scratch.rec_bind_offsets),
-                                bind: std::mem::take(&mut scratch.rec_bind),
-                            }),
-                        });
-                    }
-                    // Harvest the job's warm-replay counts before the
-                    // scratch returns to the pool (deltas merge on the
-                    // dispatching thread — no atomics in the solve).
-                    let stats = std::mem::take(&mut scratch.stats);
-                    scratch_pool.lock().unwrap_or_else(|e| e.into_inner()).push(scratch);
-                    (job_out, stats)
-                });
-            drop(jobs);
-            for (job_out, delta) in outs {
-                self.stats.warm.merge(&delta);
-                for out in job_out {
-                    for (f, rate) in out.changed {
-                        self.rates[f as usize] = rate;
-                        self.changed.push(f);
-                    }
-                    if record {
-                        let span = self.comps[out.comp as usize];
-                        let res = &self.comp_res[span.res.0 as usize..span.res.1 as usize];
-                        match out.rec {
-                            Some(rec) => self.warm.store_owned(res, Some(rec)),
-                            None => {
-                                if self.warm.has_records() {
-                                    self.warm.detach(res);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let delta = std::mem::take(&mut self.scratch.stats);
+        self.stats.warm.merge(&delta);
 
-        // Components are disjoint, so the merged list has no duplicates;
+        // Components are disjoint, so the list has no duplicates;
         // restore ascending order for deterministic consumers.
         self.changed.sort_unstable();
         &self.changed
@@ -1484,10 +1233,10 @@ impl MaxMinSolver {
 
 /// Solves one component: initializes its working state from the shared
 /// core, replays as much of the cached freeze order as the seeds leave
-/// valid, and finishes with normal progressive filling. Pure function of
-/// `(core, comp_flows, comp_res, warm)` — the scratch carries no history
-/// into the result — which is what makes pool-parallel execution
-/// bit-identical to sequential.
+/// valid, and finishes with normal progressive filling, writing each
+/// moved rate into `rates` and its flow id into `changed`. Pure function
+/// of `(core, comp_flows, comp_res, warm)` — the scratch carries no
+/// history into the result, so one scratch serves every component.
 #[allow(clippy::too_many_arguments)]
 fn run_component(
     core: &SolverCore,
@@ -1496,12 +1245,12 @@ fn run_component(
     comp_res: &[u32],
     warm: Option<&CachedSolve>,
     record: bool,
-    sink: &mut RateSink<'_>,
+    rates: &mut [f64],
+    changed: &mut Vec<u32>,
     s: &mut SolveScratch,
 ) {
     s.ensure(core.capacity.len(), core.flows.len());
     s.stamp += 1;
-    s.changed.clear();
     s.rec_phis.clear();
     s.rec_frozen.clear();
     s.rec_offsets.clear();
@@ -1520,7 +1269,9 @@ fn run_component(
             s.inv_w_sum[ri] = core.base_inv_w_sum[ri];
             s.active_count_on[ri] = core.res_active[ri];
         }
-        let unfrozen = comp_flows.len() - replay_rounds(core, comp_id, comp_flows, comp_res, w, record, sink, s);
+        let replayed =
+            replay_rounds(core, comp_id, comp_flows, comp_res, w, record, rates, changed, s);
+        let unfrozen = comp_flows.len() - replayed;
         // Remaining flows fill normally from the replayed state.
         s.live.clear();
         for &f in comp_flows {
@@ -1543,9 +1294,9 @@ fn run_component(
         }
         if !s.live.is_empty() {
             if scan {
-                fill_scan(core, record, sink, s);
+                fill_scan(core, record, rates, changed, s);
             } else {
-                fill_heap(core, record, sink, s);
+                fill_heap(core, record, rates, changed, s);
             }
         }
     } else {
@@ -1572,15 +1323,15 @@ fn run_component(
         }
         if !s.live.is_empty() {
             if scan {
-                fill_scan(core, record, sink, s);
+                fill_scan(core, record, rates, changed, s);
             } else {
-                fill_heap(core, record, sink, s);
+                fill_heap(core, record, rates, changed, s);
             }
         }
     }
 
     // `changed` is left in freeze order; the reshare's single global sort
-    // restores ascending ids after the per-component merge.
+    // restores ascending ids once every component has solved.
 }
 
 /// Replays the cached freeze order until a level the seeds invalidate,
@@ -1599,7 +1350,8 @@ fn replay_rounds(
     comp_res: &[u32],
     w: &CachedSolve,
     record: bool,
-    sink: &mut RateSink<'_>,
+    rates: &mut [f64],
+    changed: &mut Vec<u32>,
     s: &mut SolveScratch,
 ) -> usize {
     s.dirty.clear();
@@ -1662,8 +1414,8 @@ fn replay_rounds(
             let fi = f as usize;
             if core.flow_mark[fi] != core.epoch || core.flow_comp[fi] != comp_id {
                 // The cached solve covered a larger component that has
-                // since split; this flow's piece is someone else's job
-                // (or untouched) and shares none of our resources.
+                // since split; this flow's piece belongs to another
+                // component (or is untouched) and shares none of ours.
                 continue;
             }
             if core.seed_mark[fi] == core.epoch
@@ -1684,7 +1436,7 @@ fn replay_rounds(
         }
         s.round_bind.clear();
         s.round_bind.extend_from_slice(&w.bind[blo..bhi]);
-        frozen_total += apply_round(core, record, phi, threshold, sink, s, false);
+        frozen_total += apply_round(core, record, phi, threshold, rates, changed, s, false);
         s.stats.levels_replayed += 1;
     }
     frozen_total
@@ -1704,7 +1456,8 @@ fn apply_round(
     record: bool,
     phi: f64,
     threshold: f64,
-    sink: &mut RateSink<'_>,
+    rates: &mut [f64],
+    changed: &mut Vec<u32>,
     s: &mut SolveScratch,
     collect_dirty: bool,
 ) -> usize {
@@ -1721,7 +1474,7 @@ fn apply_round(
         } else {
             phi / core.flows[fi].weight
         };
-        set_rate(sink, f, allocated, s);
+        set_rate(rates, changed, f, allocated, s);
         let inv_w = 1.0 / core.flows[fi].weight;
         for &r in core.res_span(f) {
             let ri = r as usize;
@@ -1744,20 +1497,18 @@ fn apply_round(
     s.touched.len()
 }
 
-fn set_rate(sink: &mut RateSink<'_>, flow: u32, rate: f64, s: &mut SolveScratch) {
+/// Writes one frozen flow's rate, recording it in `changed` if it moved.
+fn set_rate(
+    rates: &mut [f64],
+    changed: &mut Vec<u32>,
+    flow: u32,
+    rate: f64,
+    s: &mut SolveScratch,
+) {
     let fi = flow as usize;
-    match sink {
-        RateSink::Direct { rates, changed } => {
-            if rates[fi] != rate {
-                rates[fi] = rate;
-                changed.push(flow);
-            }
-        }
-        RateSink::Buffered { rates } => {
-            if rates[fi] != rate {
-                s.changed.push((flow, rate));
-            }
-        }
+    if rates[fi] != rate {
+        rates[fi] = rate;
+        changed.push(flow);
     }
     s.frozen_stamp[fi] = s.stamp;
 }
@@ -1765,7 +1516,13 @@ fn set_rate(sink: &mut RateSink<'_>, flow: u32, rate: f64, s: &mut SolveScratch)
 /// Scan-per-round progressive filling: the reference algorithm restricted
 /// to the component's live arrays, replaying the reference's float
 /// operations (and even its in-pass threshold effects) exactly.
-fn fill_scan(core: &SolverCore, record: bool, sink: &mut RateSink<'_>, s: &mut SolveScratch) {
+fn fill_scan(
+    core: &SolverCore,
+    record: bool,
+    rates: &mut [f64],
+    changed: &mut Vec<u32>,
+    s: &mut SolveScratch,
+) {
     // `ratio[r]` is seeded by the caller for every live resource and
     // refreshed here only when a freeze dirties it.
     let mut unfrozen = s.live.len();
@@ -1791,7 +1548,7 @@ fn fill_scan(core: &SolverCore, record: bool, sink: &mut RateSink<'_>, s: &mut S
             // No binding constraint: the remaining flows are unbounded.
             for k in 0..s.live.len() {
                 let f = s.live[k];
-                set_rate(sink, f, f64::INFINITY, s);
+                set_rate(rates, changed, f, f64::INFINITY, s);
             }
             break;
         }
@@ -1842,12 +1599,12 @@ fn fill_scan(core: &SolverCore, record: bool, sink: &mut RateSink<'_>, s: &mut S
                 let f = s.live[k];
                 let fi = f as usize;
                 let rate = (phi / core.flows[fi].weight).min(core.flows[fi].cap);
-                set_rate(sink, f, rate, s);
+                set_rate(rates, changed, f, rate, s);
             }
             break;
         }
 
-        unfrozen -= apply_round(core, record, phi, threshold, sink, s, true);
+        unfrozen -= apply_round(core, record, phi, threshold, rates, changed, s, true);
 
         // Refresh the cached ratios the freezes invalidated.
         for k in 0..s.dirty_round.len() {
@@ -1874,7 +1631,13 @@ fn fill_scan(core: &SolverCore, record: bool, sink: &mut RateSink<'_>, s: &mut S
 /// candidates live in a lazy-deletion min-heap, so a round touches only
 /// the constraints that actually bind instead of rescanning every
 /// resource and cap.
-fn fill_heap(core: &SolverCore, record: bool, sink: &mut RateSink<'_>, s: &mut SolveScratch) {
+fn fill_heap(
+    core: &SolverCore,
+    record: bool,
+    rates: &mut [f64],
+    changed: &mut Vec<u32>,
+    s: &mut SolveScratch,
+) {
     s.cand.clear();
     for k in 0..s.live_res.len() {
         let r = s.live_res[k];
@@ -1921,7 +1684,7 @@ fn fill_heap(core: &SolverCore, record: bool, sink: &mut RateSink<'_>, s: &mut S
             for k in 0..s.live.len() {
                 let f = s.live[k];
                 if s.frozen_stamp[f as usize] != s.stamp {
-                    set_rate(sink, f, f64::INFINITY, s);
+                    set_rate(rates, changed, f, f64::INFINITY, s);
                 }
             }
             break;
@@ -1977,13 +1740,13 @@ fn fill_heap(core: &SolverCore, record: bool, sink: &mut RateSink<'_>, s: &mut S
                 let fi = f as usize;
                 if s.frozen_stamp[fi] != s.stamp {
                     let rate = (phi / core.flows[fi].weight).min(core.flows[fi].cap);
-                    set_rate(sink, f, rate, s);
+                    set_rate(rates, changed, f, rate, s);
                 }
             }
             break;
         }
 
-        unfrozen -= apply_round(core, record, phi, threshold, sink, s, true);
+        unfrozen -= apply_round(core, record, phi, threshold, rates, changed, s, true);
 
         // Freezes changed these resources' ratios; push fresh candidates
         // (old entries turn stale and are skipped on pop).

@@ -3,11 +3,11 @@
 //!
 //! The property tests pin the incremental kernel against a from-scratch
 //! reference kernel (full rescans, a one-shot [`SharingProblem`] rebuilt
-//! at every instant under the current effective capacities), across
-//! worker counts {0, 1, 4} × warm start on/off. All randomized inputs
-//! are raw integers and `Vec`s so minimal counterexamples shrink well.
+//! at every instant under the current effective capacities), with warm
+//! start on and off. All randomized inputs are raw integers and `Vec`s
+//! so minimal counterexamples shrink well.
 //!
-//! Equality discipline follows `model.rs`: runs across tunings must be
+//! Equality discipline follows `model.rs`: warm and cold runs must be
 //! *bit-identical* to each other; against the from-scratch reference the
 //! long activate/deactivate history may accumulate a relative error of a
 //! few ulps (≤ 1e-9), exactly like the solver's own history tests.
@@ -18,7 +18,7 @@ use simflow::platform::builder::PlatformBuilder;
 use simflow::platform::routing::{Element, RoutingKind};
 use simflow::{
     CompletionOutcome, DeadRoutePolicy, NetworkConfig, Platform, PlatformEventKind, ResolvedPath,
-    SharingPolicy, SimTime, SimTuning, Simulation,
+    SharingPolicy, SimTime, Simulation,
 };
 
 /// A star platform: `n` hosts, each with its own access link to a hub
@@ -196,24 +196,20 @@ fn reference_run(
     Some(finish.into_iter().zip(failed).collect())
 }
 
-/// Runs the incremental kernel on the same schedule under one tuning.
+/// Runs the incremental kernel on the same schedule, warm start on or
+/// off.
 fn kernel_run(
     p: &Platform,
     jobs: &[RefJob],
     src_dst: &[(usize, usize)],
     events: &[(f64, usize, PlatformEventKind)],
     policy: DeadRoutePolicy,
-    workers: usize,
     warm: bool,
 ) -> Result<Vec<(f64, bool)>, simflow::SimError> {
     let cfg = NetworkConfig::ideal();
     let hosts: Vec<_> = p.hosts().collect();
-    let tuning = SimTuning {
-        pool: (workers > 0).then(|| std::sync::Arc::new(exec::WorkerPool::new(workers))),
-        warm_start: warm,
-    };
-    let mut sim =
-        Simulation::with_tuning(p, cfg, Simulation::shared_capacities(p, &cfg), tuning);
+    let mut sim = Simulation::new(p, cfg);
+    sim.set_warm_start(warm);
     sim.set_dead_route_policy(policy);
     let ids: Vec<_> = jobs
         .iter()
@@ -263,8 +259,8 @@ fn star_jobs(
     (jobs, src_dst)
 }
 
-/// Cross-checks one schedule: every tuning bit-identical to the first,
-/// and the first within 1e-9 relative of the from-scratch reference.
+/// Cross-checks one schedule: the warm run bit-identical to the cold
+/// one, and both within 1e-9 relative of the from-scratch reference.
 /// Panics on divergence (the proptest stub's asserts are plain panics).
 fn check_schedule(
     p: &Platform,
@@ -279,45 +275,31 @@ fn check_schedule(
     };
     let want = reference_run(&base, jobs, events, policy);
     let mut first: Option<Vec<(u64, bool)>> = None;
-    for workers in [0usize, 1, 4] {
-        for warm in [false, true] {
-            let got = kernel_run(p, jobs, src_dst, events, policy, workers, warm);
-            match (&want, got) {
-                (None, Err(simflow::SimError::Stalled { .. })) => {}
-                (None, other) => {
-                    panic!(
-                        "reference stalled but kernel returned {other:?} \
-                         (workers={workers}, warm={warm})"
+    for warm in [false, true] {
+        let got = kernel_run(p, jobs, src_dst, events, policy, warm);
+        match (&want, got) {
+            (None, Err(simflow::SimError::Stalled { .. })) => {}
+            (None, other) => {
+                panic!("reference stalled but kernel returned {other:?} (warm={warm})");
+            }
+            (Some(want), Ok(got)) => {
+                assert_eq!(got.len(), want.len());
+                for (i, ((gf, gfail), (wf, wfail))) in got.iter().zip(want).enumerate() {
+                    assert!(
+                        close(*gf, *wf),
+                        "job {i}: finish {gf} vs reference {wf} (warm={warm})"
                     );
+                    assert_eq!(gfail, wfail, "job {i} outcome diverges (warm={warm})");
                 }
-                (Some(want), Ok(got)) => {
-                    assert_eq!(got.len(), want.len());
-                    for (i, ((gf, gfail), (wf, wfail))) in got.iter().zip(want).enumerate() {
-                        assert!(
-                            close(*gf, *wf),
-                            "job {i}: finish {gf} vs reference {wf} (workers={workers}, warm={warm})"
-                        );
-                        assert_eq!(
-                            gfail, wfail,
-                            "job {i} outcome diverges (workers={workers}, warm={warm})"
-                        );
-                    }
-                    let bits: Vec<(u64, bool)> =
-                        got.iter().map(|(f, x)| (f.to_bits(), *x)).collect();
-                    match &first {
-                        None => first = Some(bits),
-                        Some(f) => assert_eq!(
-                            f, &bits,
-                            "tunings diverge bit-wise (workers={workers}, warm={warm})"
-                        ),
-                    }
+                let bits: Vec<(u64, bool)> =
+                    got.iter().map(|(f, x)| (f.to_bits(), *x)).collect();
+                match &first {
+                    None => first = Some(bits),
+                    Some(f) => assert_eq!(f, &bits, "warm and cold runs diverge bit-wise"),
                 }
-                (Some(_), Err(e)) => {
-                    panic!(
-                        "kernel failed where reference finished: {e} \
-                         (workers={workers}, warm={warm})"
-                    );
-                }
+            }
+            (Some(_), Err(e)) => {
+                panic!("kernel failed where reference finished: {e} (warm={warm})");
             }
         }
     }
@@ -327,8 +309,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Pure capacity churn (factors in [0.1, 4.0]): completions match a
-    /// from-scratch rebuild at every event time, bit-identical across
-    /// tunings, and nothing fails.
+    /// from-scratch rebuild at every event time, bit-identical with warm
+    /// start on and off, and nothing fails.
     #[test]
     fn capacity_churn_matches_fresh_rebuild(
         starts in proptest::collection::vec(0u32..16, 1..8),
