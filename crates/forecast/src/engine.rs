@@ -6,8 +6,8 @@
 //!
 //! * all simulation work runs on a shared [`WorkerPool`]
 //!   (`crate::pool`), never on the caller's thread beyond orchestration;
-//! * per-platform scaffolding (capacity vectors, resolved routes,
-//!   background flows) lives in warm [`Session`]s (`crate::session`);
+//! * per-platform scaffolding (resolved routes, background flows, the
+//!   link-state overlay) lives in warm [`Session`]s (`crate::session`);
 //! * results are memoized in an epoch-keyed [`ForecastCache`]
 //!   (`crate::cache`) invalidated wholesale whenever new metrology data
 //!   arrives ([`ForecastEngine::bump_epoch`]).

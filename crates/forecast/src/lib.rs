@@ -22,11 +22,10 @@
 //!
 //! ## Warm sessions ([`session`])
 //!
-//! Per-platform scaffolding that queries should not rebuild: the solver
-//! capacity vector (built once per platform, cloned per simulation), a
-//! memoized route-resolution table (endpoint pair → [`simflow::ResolvedPath`]),
-//! and the *background flows* of the current metrology epoch, resolved
-//! once when the data arrives. Sessions are `Arc`-shared across HTTP and
+//! Per-platform scaffolding that queries should not rebuild: a memoized
+//! route-resolution table (endpoint pair → [`simflow::ResolvedPath`]),
+//! the link-state overlay, and the *background flows* of the current
+//! metrology epoch, resolved once when the data arrives. Sessions are `Arc`-shared across HTTP and
 //! pool workers; the backing [`simflow::Platform`] is immutable.
 //!
 //! ## Epoch-keyed cache ([`cache`])

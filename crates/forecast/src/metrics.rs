@@ -28,6 +28,9 @@ pub struct KernelCounters {
     pub reshares: Counter,
     /// Calendar pops (real completions + stale discards).
     pub calendar_pops: Counter,
+    /// Solver resources each simulation sized its state by, summed over
+    /// simulations (see [`KernelStats::resources`]).
+    pub resources: Counter,
     /// Components dispatched to the solver.
     pub components_solved: Counter,
     /// Component sizes (flows per dispatched component). Fed from the
@@ -66,6 +69,7 @@ impl KernelCounters {
     pub fn observe(&self, stats: &KernelStats) {
         self.reshares.add(stats.reshares);
         self.calendar_pops.add(stats.calendar_pops);
+        self.resources.add(stats.resources);
         let s = &stats.solver;
         self.components_solved.add(s.components_solved);
         for (k, &n) in s.component_size_log2.iter().enumerate().take(COMP_SIZE_BUCKETS) {
@@ -110,6 +114,12 @@ impl KernelCounters {
             "Completion-calendar pops (real completions and stale discards)",
             &[],
             &self.calendar_pops,
+        );
+        registry.adopt_counter(
+            "kernel_resources_total",
+            "Solver resources sized per simulation (the resources its flows touch), summed",
+            &[],
+            &self.resources,
         );
         registry.adopt_counter(
             "kernel_components_solved_total",
@@ -252,6 +262,7 @@ mod tests {
             reshares: 5,
             calendar_pops: 9,
             calendar_peak: 12,
+            resources: 40,
             warm_bytes: 4096,
             solver,
         };
@@ -259,6 +270,7 @@ mod tests {
         m.observe(&stats);
         assert_eq!(m.reshares.get(), 10);
         assert_eq!(m.calendar_pops.get(), 18);
+        assert_eq!(m.resources.get(), 80);
         assert_eq!(m.calendar_peak.get(), 12);
         assert_eq!(m.warm_bytes.get(), 4096);
         assert_eq!(m.components_solved.get(), 6);
@@ -292,6 +304,7 @@ mod tests {
             "forecast_stage_latency_ns",
             "forecast_simulations_total",
             "kernel_reshares_total",
+            "kernel_resources_total",
             "kernel_component_size",
             "kernel_warm_levels_invalidated_total",
             "kernel_calendar_peak",

@@ -1,14 +1,14 @@
 //! Warm per-platform simulation sessions.
 //!
-//! Building a [`Simulation`] involves two per-request costs the serving
-//! path should not pay twice: constructing the solver capacity vector
-//! (`O(links + hosts)`) and resolving routes (`O(zone depth)` per
-//! endpoint pair). A [`Session`] amortizes both across queries against
-//! the same platform: the capacity vector is built once, and every
-//! resolved `(src, dst)` path is memoized. Sessions also carry the
-//! *background traffic* of the current metrology epoch — flows injected
-//! into every simulation to model load the forecast must coexist with —
-//! resolved once when the epoch's data arrives, not per query.
+//! A [`Simulation`] is sized by the resources its flows touch, so
+//! building one per query costs nothing per platform resource; the
+//! per-request cost the serving path should not pay twice is route
+//! resolution (`O(zone depth)` per endpoint pair). A [`Session`]
+//! memoizes every resolved `(src, dst)` path across queries against the
+//! same platform. Sessions also carry the *background traffic* of the
+//! current metrology epoch — flows injected into every simulation to
+//! model load the forecast must coexist with — resolved once when the
+//! epoch's data arrives, not per query.
 //!
 //! Two dynamic-platform pieces live here too:
 //!
@@ -83,15 +83,12 @@ struct BackgroundState {
 pub struct Session {
     platform: Arc<Platform>,
     config: NetworkConfig,
-    /// Prebuilt solver capacity vector (see
-    /// [`Simulation::shared_capacities`]); cloned into each simulation.
-    capacities: Vec<f64>,
     /// Memoized route resolutions, keyed by endpoint pair.
     routes: RwLock<HashMap<(HostId, HostId), Arc<ResolvedPath>>>,
     /// Background flows of the current epoch plus the connectivity
     /// structure primed with them.
     background: RwLock<Arc<BackgroundState>>,
-    /// Link-state overlay: solver resource id → degraded state. A
+    /// Link-state overlay: platform-wide resource id → degraded state. A
     /// `BTreeMap` so digest folds iterate in a canonical order.
     overlay: RwLock<BTreeMap<u32, LinkState>>,
     /// Bumped before every overlay mutation; lets the engine detect that
@@ -123,12 +120,10 @@ impl Session {
         config: NetworkConfig,
         kernel: KernelCounters,
     ) -> Session {
-        let capacities = Simulation::shared_capacities(&platform, &config);
-        let conn = Connectivity::new(capacities.len());
+        let conn = Connectivity::new(platform.link_count() + platform.host_count());
         Session {
             platform,
             config,
-            capacities,
             routes: RwLock::new(HashMap::new()),
             background: RwLock::new(Arc::new(BackgroundState {
                 flows: Arc::new(Vec::new()),
@@ -155,7 +150,7 @@ impl Session {
     /// the id space of [`simflow::ResolvedPath::resources`], needed by
     /// connectivity labeling over resolved routes.
     pub fn resource_count(&self) -> usize {
-        self.capacities.len()
+        self.platform.link_count() + self.platform.host_count()
     }
 
     /// The model configuration.
@@ -178,7 +173,7 @@ impl Session {
     /// engine) is responsible for bumping the epoch so cached results
     /// keyed to the old background become unreachable.
     pub fn set_background(&self, flows: Vec<BackgroundFlow>) {
-        let mut conn = Connectivity::new(self.capacities.len());
+        let mut conn = Connectivity::new(self.resource_count());
         conn.ensure_flows(flows.len());
         for (i, f) in flows.iter().enumerate() {
             if !f.path.resources.is_empty() {
@@ -204,7 +199,7 @@ impl Session {
     }
 
     /// Applies a serving-time platform event to the overlay and returns
-    /// the solver resource id it landed on. `Capacity(f)` sets the
+    /// the platform-wide resource id it landed on. `Capacity(f)` sets the
     /// factor, `Down`/`Up` toggle the down marker; an entry restored to
     /// identity is removed, so digests return to their pre-event values
     /// and previously cached entries become reachable again. The version
@@ -314,31 +309,19 @@ impl Session {
         Ok(ResolvedSpec { src, dst, size: spec.size, path })
     }
 
-    /// A fresh simulation using the prewarmed capacity vector, with the
-    /// link-state overlay applied: degraded factors scale the capacity
-    /// vector, down resources are marked dead under
-    /// [`DeadRoutePolicy::Fail`] — a transfer routed over a dead link
-    /// completes as failed rather than stalling the simulation.
+    /// A fresh simulation with the link-state overlay applied: degraded
+    /// factors scale their resources' capacities and down resources are
+    /// marked dead under [`DeadRoutePolicy::Fail`] — a transfer routed
+    /// over a dead link completes as failed rather than stalling the
+    /// simulation. Costs `O(overlay)`, nothing per platform resource.
     pub fn simulation(&self) -> Simulation<'_> {
-        let overlay = self.overlay.read();
-        if overlay.is_empty() {
-            drop(overlay);
-            let caps = self.capacities.clone();
-            return Simulation::with_capacities(&self.platform, self.config, caps);
-        }
-        let mut caps = self.capacities.clone();
-        let mut downs = Vec::new();
-        for (&r, ls) in overlay.iter() {
-            caps[r as usize] *= ls.factor;
-            if ls.down {
-                downs.push(r);
-            }
-        }
-        drop(overlay);
-        let mut sim = Simulation::with_capacities(&self.platform, self.config, caps);
+        let mut sim = Simulation::new(&self.platform, self.config);
         sim.set_dead_route_policy(DeadRoutePolicy::Fail);
-        for r in downs {
-            sim.mark_resource_down(r);
+        for (&r, ls) in self.overlay.read().iter() {
+            sim.scale_resource_capacity(r, ls.factor);
+            if ls.down {
+                sim.mark_resource_down(r);
+            }
         }
         sim
     }

@@ -65,16 +65,15 @@ fn engine(workers: usize) -> ForecastEngine {
     e
 }
 
-/// Reference: a from-scratch simulation on a platform whose capacity
-/// vector has the event applied by hand.
+/// Reference: a from-scratch simulation whose link capacities are
+/// scaled by hand before the run.
 fn reference(events: &[(&str, f64)], specs: &[TransferSpec]) -> Vec<f64> {
     let p = two_clusters();
     let cfg = NetworkConfig::default();
-    let mut caps = Simulation::shared_capacities(&p, &cfg);
+    let mut sim = Simulation::new(&p, cfg);
     for (link, factor) in events {
-        caps[p.link_by_name(link).unwrap().index()] *= factor;
+        sim.scale_resource_capacity(p.link_by_name(link).unwrap().index() as u32, *factor);
     }
-    let mut sim = Simulation::with_capacities(&p, cfg, caps);
     let ids: Vec<_> = specs
         .iter()
         .map(|s| {

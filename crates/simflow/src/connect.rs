@@ -66,9 +66,11 @@ const NONE: u32 = u32::MAX;
 
 /// Incremental union-find connectivity over `nr` resources with intrusive
 /// per-root component member lists. See the module docs for the
-/// invariants. All storage is flat `u32` arrays — construction is a
-/// handful of `calloc`-class allocations, cheap enough for the
-/// build-per-request simulations of the forecast engine.
+/// invariants. All storage is flat `u32` arrays, and construction writes
+/// every one of them in full, so it costs `O(nr)`: the kernel's solver
+/// builds one per simulation over only the resources that simulation
+/// touches, while the forecast session's batch labeling keeps one over
+/// the whole platform and clones it per batch.
 #[derive(Clone, Debug, Default)]
 pub struct Connectivity {
     /// Union-find parent per resource; `parent[r] == r` at roots.

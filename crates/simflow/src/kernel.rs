@@ -25,8 +25,9 @@
 //!   second pass at the same instant);
 //!
 //! * an **incremental sharing solver** — flows are registered with the
-//!   persistent [`MaxMinSolver`] once at `add_transfer`/`add_compute`,
-//!   starts and finishes toggle per-resource membership (and a
+//!   persistent [`MaxMinSolver`] once, when the run starts, over only
+//!   the resources the simulation touches (see [`Simulation`]); starts
+//!   and finishes toggle per-resource membership (and a
 //!   persistent connectivity index, so a reshare resolves its components
 //!   from standing labels instead of a per-event graph search — see
 //!   [`crate::connect`]), and a reshare re-solves only the components of
@@ -195,6 +196,10 @@ pub struct KernelStats {
     /// bytes each). Compaction (see `run`) bounds it to a small multiple
     /// of the live work count.
     pub calendar_peak: u64,
+    /// Solver resources the run sized its state by: the distinct
+    /// resources its works, platform events, down marks and capacity
+    /// scalings name — not the platform's `link_count + host_count`.
+    pub resources: u64,
     /// Approximate heap bytes held by the solver's warm-start cache when
     /// the run finished (see [`crate::model::MaxMinSolver::warm_bytes`]).
     pub warm_bytes: u64,
@@ -321,15 +326,26 @@ enum Event {
     Platform(u32),
 }
 
-/// Mutable platform state of a dynamic simulation: pristine capacities,
+/// Mutable platform state of a dynamic simulation, indexed by local
+/// resource id: base capacities (nominal, times any pre-run scaling),
 /// the current per-resource capacity factor, and the down flags.
-/// Allocated lazily on the first platform event or down-mark so static
-/// simulations pay nothing for the feature.
+/// Built by `run` only when the simulation has platform events or down
+/// marks, so static simulations pay nothing for the feature.
 #[derive(Clone, Debug)]
 struct Dynamics {
     base: Vec<f64>,
     factor: Vec<f64>,
     down: Vec<bool>,
+}
+
+/// A work's solver registration, held until `run` builds the solver:
+/// its route is `Simulation::routes[start..start + len]`.
+#[derive(Clone, Copy, Debug)]
+struct FlowSpec {
+    start: u32,
+    len: u32,
+    weight: f64,
+    cap: f64,
 }
 
 /// A route resolved into the model quantities a transfer needs, decoupled
@@ -340,7 +356,7 @@ struct Dynamics {
 /// to [`Simulation::add_transfer_at`] on the same endpoints.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResolvedPath {
-    /// Solver resource ids of the *shared* links along the route.
+    /// Platform-wide resource ids of the *shared* links along the route.
     pub resources: Vec<u32>,
     /// Max-min weight of a flow on this route (RTT + Σ weight_s / C_l).
     pub weight: f64,
@@ -396,6 +412,18 @@ impl ResolvedPath {
 }
 
 /// A single simulation over a shared [`Platform`].
+///
+/// Per-simulation state is sized by the resources its works touch, never
+/// by the platform: until [`Simulation::run`] starts, works keep their
+/// routes in platform-wide resource ids. `run` then gathers the distinct
+/// resources of every work, platform event, down mark and capacity
+/// scaling, numbers them `0..k` in ascending platform-id order, and
+/// builds the solver and the dynamic-platform tables over those `k`
+/// entries only. The remap is monotone, so every id comparison the
+/// solver makes (tie-breaks, scan order) comes out as it would over the
+/// full id space, and rates are bit-identical to it. Public ids stay
+/// platform-wide: resource arguments, [`TraceEvent::PlatformChanged`]
+/// and [`ResolvedPath::resources`] all use them.
 pub struct Simulation<'p> {
     platform: &'p Platform,
     config: NetworkConfig,
@@ -403,82 +431,60 @@ pub struct Simulation<'p> {
     /// Event queue ordered by time, then insertion order (determinism).
     events: BinaryHeap<Reverse<(SimTime, u64, Event)>>,
     seq: u64,
-    /// Persistent sharing solver; work `i` is solver flow `i`.
+    /// Every work's route, back to back, in platform-wide resource ids;
+    /// work `i` owns the span described by `flows[i]`.
+    routes: Vec<u32>,
+    /// Solver registration of each work (work `i` is solver flow `i`).
+    flows: Vec<FlowSpec>,
+    /// Pre-run capacity scalings, `(resource, factor)` in call order.
+    scaled: Vec<(u32, f64)>,
+    /// Resources marked dead before the run.
+    down: Vec<u32>,
+    warm_start: bool,
+    /// Sharing solver over the touched resources, built by `run` (empty
+    /// until then).
     solver: MaxMinSolver,
+    /// Local → platform-wide resource id of every solver resource,
+    /// ascending; built by `run`.
+    resources: Vec<u32>,
     /// Lazy completion calendar: `(predicted finish, work, generation)`.
     /// Ties resolve by ascending work id, matching the reference kernel's
     /// completion scan order.
     calendar: BinaryHeap<Reverse<(SimTime, u32, u32)>>,
-    link_count: usize,
-    /// Set once the run loop starts; guards late `add_dependencies`.
+    /// Set once the run loop starts; guards late pre-run calls.
     started: bool,
     /// Calendar heap pops, stale discards included (pure count — see
     /// [`KernelStats`]).
     calendar_pops: u64,
     /// Calendar length high-water mark (see [`KernelStats`]).
     calendar_peak: u64,
-    /// Scheduled platform events, indexed by [`Event::Platform`].
+    /// Scheduled platform events, indexed by [`Event::Platform`]; the
+    /// resource is platform-wide until `run` rewrites it to a local id.
     platform_events: Vec<(u32, PlatformEventKind)>,
-    /// Dynamic-platform state; `None` until the first platform event.
+    /// Dynamic-platform state; built by `run` when there are platform
+    /// events or down marks.
     dynamics: Option<Box<Dynamics>>,
     policy: DeadRoutePolicy,
 }
 
 impl<'p> Simulation<'p> {
     /// Creates a simulation over `platform` with the given model
-    /// configuration.
+    /// configuration. Constant time: nothing is sized by the platform.
     pub fn new(platform: &'p Platform, config: NetworkConfig) -> Self {
-        let capacities = Self::shared_capacities(platform, &config);
-        Self::with_capacities(platform, config, capacities)
-    }
-
-    /// The solver capacity vector `new` would build for `platform`: one
-    /// entry per link (its effective shared bandwidth; infinite for fat
-    /// pipes, which only cap individual flows) followed by one entry per
-    /// host (its compute speed). Building this is `O(links + hosts)`;
-    /// warm forecast sessions compute it once per platform and hand
-    /// clones to [`Simulation::with_capacities`].
-    pub fn shared_capacities(platform: &Platform, config: &NetworkConfig) -> Vec<f64> {
-        let mut capacities = Vec::with_capacity(platform.link_count() + platform.host_count());
-        for i in 0..platform.link_count() {
-            let link = &platform.links[i];
-            // Fat pipes never saturate collectively; they only cap
-            // individual flows, which is folded into per-flow caps.
-            let c = match link.policy {
-                SharingPolicy::Shared => link.bandwidth * config.bandwidth_factor,
-                SharingPolicy::FatPipe => f64::INFINITY,
-            };
-            capacities.push(c);
-        }
-        for h in &platform.hosts {
-            capacities.push(h.speed);
-        }
-        capacities
-    }
-
-    /// Creates a simulation from a prebuilt capacity vector (the value of
-    /// [`Simulation::shared_capacities`] for this platform/config pair).
-    /// Behavior is identical to [`Simulation::new`]; this constructor just
-    /// skips rebuilding the vector.
-    pub fn with_capacities(
-        platform: &'p Platform,
-        config: NetworkConfig,
-        capacities: Vec<f64>,
-    ) -> Self {
-        debug_assert_eq!(
-            capacities.len(),
-            platform.link_count() + platform.host_count(),
-            "capacity vector does not match the platform"
-        );
         Simulation {
             platform,
             config,
             works: Vec::new(),
             events: BinaryHeap::new(),
             seq: 0,
-            solver: MaxMinSolver::new(capacities),
+            routes: Vec::new(),
+            flows: Vec::new(),
+            scaled: Vec::new(),
+            down: Vec::new(),
+            warm_start: true,
+            solver: MaxMinSolver::new(Vec::new()),
+            resources: Vec::new(),
             calendar: BinaryHeap::new(),
-            link_count: platform.link_count(),
             started: false,
             calendar_pops: 0,
             calendar_peak: 0,
@@ -488,10 +494,27 @@ impl<'p> Simulation<'p> {
         }
     }
 
+    /// The nominal solver capacity of a platform-wide resource id: links
+    /// are `0..link_count` in [`LinkId`] order (effective shared
+    /// bandwidth; infinite for fat pipes, which only cap individual
+    /// flows), host CPUs follow in host order (compute speed).
+    pub fn nominal_capacity(platform: &Platform, config: &NetworkConfig, resource: u32) -> f64 {
+        let r = resource as usize;
+        match platform.links.get(r) {
+            // Fat pipes never saturate collectively; they only cap
+            // individual flows, which is folded into per-flow caps.
+            Some(link) => match link.policy {
+                SharingPolicy::Shared => link.bandwidth * config.bandwidth_factor,
+                SharingPolicy::FatPipe => f64::INFINITY,
+            },
+            None => platform.hosts[r - platform.link_count()].speed,
+        }
+    }
+
     /// Enables or disables the solver's warm-start filling (on by
     /// default); results are unchanged either way.
     pub fn set_warm_start(&mut self, on: bool) {
-        self.solver.set_warm_start(on);
+        self.warm_start = on;
     }
 
     /// Selects what happens to flows whose route dies (see
@@ -500,19 +523,14 @@ impl<'p> Simulation<'p> {
         self.policy = policy;
     }
 
-    fn ensure_dynamics(&mut self) {
-        if self.dynamics.is_none() {
-            let n = self.link_count + self.platform.host_count();
-            let base: Vec<f64> = (0..n as u32).map(|r| self.solver.capacity(r)).collect();
-            self.dynamics = Some(Box::new(Dynamics {
-                factor: vec![1.0; base.len()],
-                down: vec![false; base.len()],
-                base,
-            }));
-        }
+    fn check_resource(&self, resource: u32) {
+        assert!(
+            (resource as usize) < self.platform.link_count() + self.platform.host_count(),
+            "unknown resource"
+        );
     }
 
-    /// Schedules a platform event on a raw solver resource id — links
+    /// Schedules a platform event on a platform-wide resource id — links
     /// are `0..link_count` in [`LinkId`] order, host CPUs follow in host
     /// order (the link-level wrappers below cover the common case).
     /// Events at one instant batch into the same merged-seed reshare as
@@ -522,14 +540,10 @@ impl<'p> Simulation<'p> {
     /// Panics on out-of-range resources and non-finite or negative
     /// capacity factors.
     pub fn add_platform_event(&mut self, resource: u32, kind: PlatformEventKind, at: SimTime) {
-        assert!(
-            (resource as usize) < self.link_count + self.platform.host_count(),
-            "unknown resource"
-        );
+        self.check_resource(resource);
         if let PlatformEventKind::Capacity(f) = kind {
             assert!(f.is_finite() && f >= 0.0, "invalid capacity factor");
         }
-        self.ensure_dynamics();
         let idx = self.platform_events.len() as u32;
         self.platform_events.push((resource, kind));
         self.push_event(at, Event::Platform(idx));
@@ -563,14 +577,85 @@ impl<'p> Simulation<'p> {
     /// out-of-range resources.
     pub fn mark_resource_down(&mut self, resource: u32) {
         assert!(!self.started, "mark_resource_down after the run started");
-        assert!(
-            (resource as usize) < self.link_count + self.platform.host_count(),
-            "unknown resource"
-        );
-        self.ensure_dynamics();
-        let d = self.dynamics.as_mut().expect("just ensured");
-        d.down[resource as usize] = true;
-        self.solver.set_capacity(resource, 0.0);
+        self.check_resource(resource);
+        self.down.push(resource);
+    }
+
+    /// Scales a resource's capacity to `factor ×` its nominal value before
+    /// the run starts — a platform already degraded at t = 0 (e.g. a
+    /// forecast session's link-state overlay). Calls on one resource
+    /// compose by multiplication, in call order. The scaled value is the
+    /// base that later [`PlatformEventKind::Capacity`] factors rescale and
+    /// [`PlatformEventKind::Up`] restores.
+    ///
+    /// # Panics
+    /// Panics if called after [`Simulation::run`] started, on
+    /// out-of-range resources, and on non-finite or negative factors.
+    pub fn scale_resource_capacity(&mut self, resource: u32, factor: f64) {
+        assert!(!self.started, "scale_resource_capacity after the run started");
+        self.check_resource(resource);
+        assert!(factor.is_finite() && factor >= 0.0, "invalid capacity factor");
+        self.scaled.push((resource, factor));
+    }
+
+    /// Builds the solver over the resources this simulation touches (see
+    /// the type docs): gathers every platform-wide id the works, platform
+    /// events, down marks and scalings name, renumbers them densely in
+    /// ascending order, and registers every work with its renumbered
+    /// route. `O(n log n)` in the number of ids named, independent of the
+    /// platform size.
+    fn build_solver(&mut self) {
+        let n_routes = self.routes.len();
+        let n_events = self.platform_events.len();
+        let n_down = self.down.len();
+        let mut ids = std::mem::take(&mut self.routes);
+        ids.extend(self.platform_events.iter().map(|&(r, _)| r));
+        ids.extend_from_slice(&self.down);
+        ids.extend(self.scaled.iter().map(|&(r, _)| r));
+        // Sort (id, position) pairs, then number the distinct ids in one
+        // pass, writing each position's local id back in place.
+        let mut keys: Vec<u64> =
+            ids.iter().enumerate().map(|(i, &r)| (u64::from(r) << 32) | i as u64).collect();
+        keys.sort_unstable();
+        for key in keys {
+            let r = (key >> 32) as u32;
+            if self.resources.last() != Some(&r) {
+                self.resources.push(r);
+            }
+            ids[key as u32 as usize] = (self.resources.len() - 1) as u32;
+        }
+
+        let mut capacity: Vec<f64> = self
+            .resources
+            .iter()
+            .map(|&r| Self::nominal_capacity(self.platform, &self.config, r))
+            .collect();
+        let (routes, rest) = ids.split_at(n_routes);
+        let (event_ids, rest) = rest.split_at(n_events);
+        let (down_ids, scaled_ids) = rest.split_at(n_down);
+        for (&l, &(_, factor)) in scaled_ids.iter().zip(&self.scaled) {
+            capacity[l as usize] *= factor;
+        }
+        for (e, &l) in self.platform_events.iter_mut().zip(event_ids) {
+            e.0 = l;
+        }
+        if n_events + n_down > 0 {
+            let k = capacity.len();
+            let mut d =
+                Dynamics { base: capacity.clone(), factor: vec![1.0; k], down: vec![false; k] };
+            for &l in down_ids {
+                d.down[l as usize] = true;
+                capacity[l as usize] = 0.0;
+            }
+            self.dynamics = Some(Box::new(d));
+        }
+
+        let mut solver = MaxMinSolver::new(capacity);
+        solver.set_warm_start(self.warm_start);
+        for f in &self.flows {
+            solver.register(&routes[f.start as usize..(f.start + f.len) as usize], f.weight, f.cap);
+        }
+        self.solver = solver;
     }
 
     fn push_event(&mut self, t: SimTime, e: Event) {
@@ -588,8 +673,7 @@ impl<'p> Simulation<'p> {
         start: SimTime,
     ) -> Result<WorkId, SimError> {
         let path = ResolvedPath::resolve(self.platform, &self.config, src, dst)?;
-        let (weight, cap, delay) = (path.weight, path.cap, path.delay);
-        Ok(self.push_transfer(src, dst, size_bytes, start, path.resources, weight, cap, delay))
+        Ok(self.add_transfer_resolved(src, dst, size_bytes, start, &path))
     }
 
     /// Schedules a transfer along an already-resolved path (obtained from
@@ -609,7 +693,7 @@ impl<'p> Simulation<'p> {
             dst,
             size_bytes,
             start,
-            path.resources.clone(),
+            &path.resources,
             path.weight,
             path.cap,
             path.delay,
@@ -623,14 +707,14 @@ impl<'p> Simulation<'p> {
         dst: HostId,
         size_bytes: f64,
         start: SimTime,
-        resources: Vec<u32>,
+        resources: &[u32],
         weight: f64,
         cap: f64,
         delay: f64,
     ) -> WorkId {
         assert!(size_bytes.is_finite() && size_bytes >= 0.0, "invalid size");
         let id = WorkId(self.works.len() as u32);
-        self.solver.register(resources, weight, cap);
+        self.push_flow(resources, weight, cap);
         self.works.push(WorkState {
             kind: WorkKind::Transfer { src, dst, size: size_bytes },
             status: Status::Scheduled,
@@ -648,6 +732,13 @@ impl<'p> Simulation<'p> {
         });
         self.push_event(start, Event::Start(id));
         id
+    }
+
+    /// Records a work's solver registration (see [`FlowSpec`]).
+    fn push_flow(&mut self, resources: &[u32], weight: f64, cap: f64) {
+        let start = self.routes.len() as u32;
+        self.routes.extend_from_slice(resources);
+        self.flows.push(FlowSpec { start, len: resources.len() as u32, weight, cap });
     }
 
     /// Declares that `work` cannot start before every id in `deps` has
@@ -689,9 +780,9 @@ impl<'p> Simulation<'p> {
     /// Schedules a computation of `flops` on `host` starting at `start`.
     pub fn add_compute_at(&mut self, host: HostId, flops: f64, start: SimTime) -> WorkId {
         assert!(flops.is_finite() && flops >= 0.0, "invalid flops");
-        let resource = (self.link_count + self.platform.host_index(host)) as u32;
+        let resource = (self.platform.link_count() + self.platform.host_index(host)) as u32;
         let id = WorkId(self.works.len() as u32);
-        self.solver.register(vec![resource], 1.0, f64::INFINITY);
+        self.push_flow(&[resource], 1.0, f64::INFINITY);
         self.works.push(WorkState {
             kind: WorkKind::Compute { host, flops },
             status: Status::Scheduled,
@@ -834,7 +925,11 @@ impl<'p> Simulation<'p> {
         let Some(cap) = new_cap else { return };
         self.solver.set_capacity(r, cap);
         if traced {
-            trace.events.push(TraceEvent::PlatformChanged { resource: r, at: now, capacity: cap });
+            trace.events.push(TraceEvent::PlatformChanged {
+                resource: self.resources[ri],
+                at: now,
+                capacity: cap,
+            });
         }
         if kill {
             let members: Vec<u32> = self.solver.active_members(r).to_vec();
@@ -883,6 +978,7 @@ impl<'p> Simulation<'p> {
 
     fn run_inner(mut self, traced: bool) -> Result<(Report, Trace), SimError> {
         self.started = true;
+        self.build_solver();
         let mut trace = Trace::default();
 
         let mut now = SimTime::ZERO;
@@ -1095,6 +1191,7 @@ impl<'p> Simulation<'p> {
             reshares,
             calendar_pops: self.calendar_pops,
             calendar_peak: self.calendar_peak,
+            resources: self.resources.len() as u64,
             warm_bytes: self.solver.warm_bytes(),
             solver: self.solver.stats().clone(),
         };
@@ -1415,8 +1512,7 @@ mod tests {
         assert!(path.bottleneck.is_finite());
 
         let mut direct = Simulation::new(&p, cfg);
-        let mut replayed =
-            Simulation::with_capacities(&p, cfg, Simulation::shared_capacities(&p, &cfg));
+        let mut replayed = Simulation::new(&p, cfg);
         for i in 0..8 {
             let size = 1e7 * (i + 1) as f64;
             let at = SimTime::from_secs(0.05 * i as f64);

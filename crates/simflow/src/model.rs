@@ -595,7 +595,9 @@ impl WarmCache {
 
     /// Approximate heap bytes held: record buffers (recycled slots keep
     /// their capacity, so capacities — not lengths — are what's resident)
-    /// plus the slab and per-resource stamp table.
+    /// plus the slab and the per-resource stamp table (4 bytes per solver
+    /// resource — per *touched* resource when the kernel builds the
+    /// solver, not per platform resource).
     fn bytes(&self) -> usize {
         use std::mem::size_of;
         let mut total = self.res_solve.capacity() * size_of::<u32>()
@@ -798,9 +800,11 @@ impl MaxMinSolver {
         self.warm_flow_cap = max_flows.max(1);
     }
 
-    /// Approximate heap bytes held by the warm-start cache (record
-    /// buffers plus slab bookkeeping) — the memory-footprint proxy the
-    /// bench suite records. O(#records); never called inside a solve.
+    /// Approximate heap bytes held by the warm-start cache: record
+    /// buffers, slab bookkeeping and the 4-byte-per-resource `res_solve`
+    /// stamp table, which the kernel sizes by the resources a simulation
+    /// touches. The memory-footprint proxy the bench suite records.
+    /// O(#records); never called inside a solve.
     pub fn warm_bytes(&self) -> u64 {
         self.warm.bytes() as u64
     }
@@ -817,20 +821,20 @@ impl MaxMinSolver {
 
     /// Registers a flow (initially inactive) and returns its id. Ids are
     /// dense and never reused.
-    pub fn register(&mut self, resources: Vec<u32>, weight: f64, cap: f64) -> u32 {
+    pub fn register(&mut self, resources: &[u32], weight: f64, cap: f64) -> u32 {
         debug_assert!(weight > 0.0, "flow weight must be positive");
         debug_assert!(resources.iter().all(|&r| (r as usize) < self.core.capacity.len()));
         let id = self.core.flows.len() as u32;
         self.core.phi_cap.push(cap * weight);
         let res_start = self.core.res_arena.len() as u32;
         let res_len = resources.len() as u32;
-        for &r in &resources {
+        for &r in resources {
             self.core.res_cap[r as usize] += 1;
         }
         if res_len > 0 {
             self.members_dirty = true;
         }
-        self.core.res_arena.extend_from_slice(&resources);
+        self.core.res_arena.extend_from_slice(resources);
         self.core.flows.push(SolverFlow { res_start, res_len, weight, cap, active: false });
         self.rates.push(0.0);
         self.core.seed_mark.push(0);

@@ -38,7 +38,8 @@ pub enum TraceEvent {
     /// A platform event took effect on a resource (capacity change,
     /// failure, recovery — see [`crate::kernel::PlatformEventKind`]).
     PlatformChanged {
-        /// Solver resource id (links first, then host CPUs).
+        /// Platform-wide resource id (links first, then host CPUs), as
+        /// passed to [`crate::Simulation::add_platform_event`].
         resource: u32,
         /// When.
         at: SimTime,

@@ -187,7 +187,7 @@ fn arb_problem_with_free() -> impl Strategy<Value = SharingProblem> {
 fn incremental_from(p: &SharingProblem, active: &[u32]) -> MaxMinSolver {
     let mut s = MaxMinSolver::new(p.capacity.clone());
     for f in &p.flows {
-        s.register(f.resources.clone(), f.weight, f.cap);
+        s.register(&f.resources, f.weight, f.cap);
     }
     for &i in active {
         s.activate(i);
@@ -347,7 +347,7 @@ fn run_history(
     solver.set_warm_threshold(1); // force warm-start replay onto tiny components
     solver.set_warm_start(warm);
     for f in &p.flows {
-        solver.register(f.resources.clone(), f.weight, f.cap);
+        solver.register(&f.resources, f.weight, f.cap);
     }
     let mut active = vec![false; n];
     let mut out = Vec::new();

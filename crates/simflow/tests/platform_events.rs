@@ -271,7 +271,9 @@ fn check_schedule(
 ) {
     let base: Vec<f64> = {
         let cfg = NetworkConfig::ideal();
-        Simulation::shared_capacities(p, &cfg)
+        (0..(p.link_count() + p.host_count()) as u32)
+            .map(|r| Simulation::nominal_capacity(p, &cfg, r))
+            .collect()
     };
     let want = reference_run(&base, jobs, events, policy);
     let mut first: Option<Vec<(u64, bool)>> = None;
